@@ -29,8 +29,9 @@ test-short:
 bench:
 	./scripts/bench.sh
 
-# Tiny deterministic slice of the serving benchmark (two rates, one
-# admitted point); also runs as part of `make check`.
+# Re-run a tiny deterministic slice of both committed artifacts (two
+# rates per topology, the flap A/Bs, the operator sweep, one wall-clock
+# point per topology); also runs as part of `make check`.
 bench-smoke:
 	./scripts/bench-smoke.sh
 
@@ -38,4 +39,4 @@ bench-smoke:
 # the canonical topologies, written to BENCH_wallclock.json.
 bench-wallclock:
 	$(GO) run ./cmd/mcn-serve -wallbench -out BENCH_wallclock.json
-	$(GO) run ./cmd/mcn-serve -wallcheck BENCH_wallclock.json
+	$(GO) run ./cmd/mcn-serve -check BENCH_wallclock.json

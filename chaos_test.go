@@ -185,7 +185,7 @@ func TestChaos(t *testing.T) {
 	// armed: a DIMM flap mid-window must trip exactly one shard's breaker,
 	// and the whole run — including the breaker open/half-open/closed event
 	// ordering in the rendered timeline — must replay byte-identically.
-	sa := mcn.ServeFaultsAdmitted(42)
+	sa := flapRun(42, "mcn5+batch+admit")
 	if !sa.Admitted || !sa.Result.AdmitOn {
 		t.Fatal("admitted chaos serve run reports the admission plane off")
 	}
@@ -198,10 +198,16 @@ func TestChaos(t *testing.T) {
 				e.Shard, sa.Result.PerShard[e.Shard].Name, e)
 		}
 	}
-	sb := mcn.ServeFaultsAdmitted(42)
+	sb := flapRun(42, "mcn5+batch+admit")
 	if sa.String() != sb.String() {
 		t.Fatalf("admitted serve chaos replay diverged:\n--- run A ---\n%s--- run B ---\n%s", sa, sb)
 	}
+}
+
+// flapRun runs the standard DIMM flap (host/mcn3 offline for 2ms, 1ms
+// into the measured window) on topo at 200k req/s, audited afterwards.
+func flapRun(seed uint64, topo string) *mcn.ServeOutcome {
+	return mcn.RunScenario(mcn.ServeScenario{Seed: seed, Topo: topo, Rate: 200e3, Flap: true})
 }
 
 // TestBatchedServeFaultReplayDeterminism replays the serving-under-faults
@@ -214,7 +220,7 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batched fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsBatched(77)
+	a := flapRun(77, "mcn5+batch")
 	if !a.Batched {
 		t.Fatal("run does not report batching enabled")
 	}
@@ -224,11 +230,11 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	if len(a.Degraded) == 0 {
 		t.Fatal("DIMM flap degraded no shard; fault injection looks inert")
 	}
-	b := mcn.ServeFaultsBatched(77)
+	b := flapRun(77, "mcn5+batch")
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different batched fault replay:\n--- run A ---\n%s\n--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsBatched(78)
+	c := flapRun(78, "mcn5+batch")
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical result; injection looks seed-independent")
 	}
@@ -237,7 +243,7 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	// open at least once, every transition lands in the rendered timeline,
 	// and the replay — jittered backoff windows included — stays
 	// byte-identical per seed and distinct across seeds.
-	aa := mcn.ServeFaultsAdmitted(77)
+	aa := flapRun(77, "mcn5+batch+admit")
 	if !aa.Admitted {
 		t.Fatal("run does not report admission enabled")
 	}
@@ -247,11 +253,11 @@ func TestBatchedServeFaultReplayDeterminism(t *testing.T) {
 	if len(aa.Result.AdmitEvents) == 0 {
 		t.Fatal("breaker opened but the health timeline is empty")
 	}
-	ab := mcn.ServeFaultsAdmitted(77)
+	ab := flapRun(77, "mcn5+batch+admit")
 	if aa.String() != ab.String() {
 		t.Fatalf("same seed, different admitted fault replay:\n--- run A ---\n%s--- run B ---\n%s", aa, ab)
 	}
-	ac := mcn.ServeFaultsAdmitted(78)
+	ac := flapRun(78, "mcn5+batch+admit")
 	if ac.String() == aa.String() {
 		t.Fatal("different seed replayed the identical admitted result")
 	}
@@ -269,7 +275,7 @@ func TestMcntFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mcnt fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsMcnt(77)
+	a := flapRun(77, "mcn5+batch+mcnt")
 	if !a.Mcnt {
 		t.Fatal("run does not report the mcnt transport")
 	}
@@ -282,11 +288,11 @@ func TestMcntFaultReplayDeterminism(t *testing.T) {
 	if !strings.Contains(a.McntFabric, "resent=") || strings.Contains(a.McntFabric, "resent=0 ") {
 		t.Fatalf("flap recovered without a single mcnt resend — go-back-N never engaged: %s", a.McntFabric)
 	}
-	b := mcn.ServeFaultsMcnt(77)
+	b := flapRun(77, "mcn5+batch+mcnt")
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different mcnt fault replay:\n--- run A ---\n%s\n--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsMcnt(78)
+	c := flapRun(78, "mcn5+batch+mcnt")
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical mcnt result; injection looks seed-independent")
 	}
@@ -304,7 +310,7 @@ func TestReplicatedFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsRepl(77)
+	a := flapRun(77, "mcn5+batch+repl")
 	if !a.Repl || !a.Result.ReplOn {
 		t.Fatal("replicated chaos serve run reports the replication plane off")
 	}
@@ -336,11 +342,11 @@ func TestReplicatedFaultReplayDeterminism(t *testing.T) {
 	if a.Diverged != 0 {
 		t.Fatalf("%d keys diverged between primaries and backups after the final sweep", a.Diverged)
 	}
-	b := mcn.ServeFaultsRepl(77)
+	b := flapRun(77, "mcn5+batch+repl")
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different replicated fault replay:\n--- run A ---\n%s--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsRepl(78)
+	c := flapRun(78, "mcn5+batch+repl")
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical replicated result")
 	}
@@ -357,7 +363,7 @@ func TestOpsFaultReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ops fault-replay run skipped in -short mode")
 	}
-	a := mcn.ServeFaultsOps(77)
+	a := flapRun(77, "mcn5+batch+ops")
 	if !a.Ops || !a.Result.OpsOn {
 		t.Fatal("ops chaos serve run reports the operator mix off")
 	}
@@ -374,11 +380,11 @@ func TestOpsFaultReplayDeterminism(t *testing.T) {
 	if res.Ops.Filter.Offloaded == 0 {
 		t.Fatalf("no operator ran on-DIMM through the flap: %s", res.Ops.String())
 	}
-	b := mcn.ServeFaultsOps(77)
+	b := flapRun(77, "mcn5+batch+ops")
 	if as, bs := a.String(), b.String(); as != bs {
 		t.Fatalf("same seed, different ops fault replay:\n--- run A ---\n%s--- run B ---\n%s", as, bs)
 	}
-	c := mcn.ServeFaultsOps(78)
+	c := flapRun(78, "mcn5+batch+ops")
 	if c.String() == a.String() {
 		t.Fatal("different seed replayed the identical ops result; injection looks seed-independent")
 	}
@@ -445,6 +451,12 @@ func TestTimelineFaultReplayDeterminism(t *testing.T) {
 	}
 	run := func(seed uint64) (*mcn.ServeTimelineResult, [][]byte, []string) {
 		r := mcn.ServeTimeline(seed)
+		// The replicated arm is audited like every flapped replicated run:
+		// after the final anti-entropy sweep no key may differ between a
+		// primary and its backup.
+		if repl := r.Variants[len(r.Variants)-1]; repl.Name != "repl" || repl.Diverged != 0 {
+			t.Fatalf("seed %d: %s arm ended with %d diverged keys", seed, repl.Name, repl.Diverged)
+		}
 		var jsons [][]byte
 		var reports []string
 		for _, v := range r.Variants {

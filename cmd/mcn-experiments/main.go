@@ -23,7 +23,7 @@ func main() {
 	discussion := flag.Bool("discussion", false, "run the Sec. VII TCP-overhead / fast-transport comparison")
 	scale := flag.Float64("scale", float64(mcn.QuickScale), "working-set multiplier for figs 9-11")
 	workloadList := flag.String("workloads", "", "comma-separated workload subset (default: full suite)")
-	seed := flag.Uint64("seed", 42, "random seed for -fig faults/serve/serve-faults/serve-admit/serve-attrib (same seed replays exactly)")
+	seed := flag.Uint64("seed", 42, "random seed for -fig faults and every serve* figure (same seed replays exactly)")
 	flag.Parse()
 
 	if !*headline && !*discussion && *fig == "" {
@@ -59,7 +59,7 @@ func main() {
 		case "serve-batch":
 			fmt.Print(mcn.ServeBatch(*seed, nil))
 		case "serve-faults":
-			fmt.Print(mcn.ServeFaults(*seed))
+			fmt.Print(mcn.RunScenario(mcn.ServeScenario{Seed: *seed, Topo: "mcn5", Rate: 200e3, Flap: true}))
 		case "serve-admit":
 			fmt.Print(mcn.ServeAdmit(*seed))
 		case "serve-repl":
@@ -71,7 +71,7 @@ func main() {
 		case "serve-ops":
 			fmt.Print(mcn.ServeOps(*seed))
 		case "serve-ops-faults":
-			fmt.Print(mcn.ServeFaultsOps(*seed))
+			fmt.Print(mcn.RunScenario(mcn.ServeScenario{Seed: *seed, Topo: "mcn5+batch+ops", Rate: 200e3, Flap: true}))
 		case "serve-timeline":
 			fmt.Print(mcn.ServeTimeline(*seed))
 		default:

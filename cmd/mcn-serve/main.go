@@ -9,8 +9,9 @@
 //	mcn-serve -trace trace.json -metrics m.json  # one traced run + artifacts
 //	mcn-serve -timeline tl.json                  # windowed timeline + incidents
 //	mcn-serve -curve                             # full latency-vs-load sweep
-//	mcn-serve -curve -check BENCH_serve.json     # sweep + regression check
 //	mcn-serve -bench -out BENCH_serve.json       # qps-at-SLO per topology
+//	mcn-serve -wallbench -out BENCH_wallclock.json  # simulator events/sec
+//	mcn-serve -check BENCH_serve.json            # re-run an artifact, fail on drift
 //
 // -trace writes a Perfetto/Chrome trace-event JSON (load it at
 // ui.perfetto.dev) of the sampled request spans plus metrics/timeline
@@ -24,12 +25,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -108,17 +111,16 @@ type runShardJSON struct {
 }
 
 // benchJSON is the BENCH_serve.json shape: the qps-at-SLO headline per
-// topology, the full curves behind it, and the DIMM-flap fault run with
-// admission control off vs on.
+// topology, the full curves behind it, the DIMM-flap admission and
+// replication A/Bs, and the near-memory operator headline.
 type benchJSON struct {
 	Seed     uint64             `json:"seed"`
 	SLONs    float64            `json:"slo_p99_ns"`
 	QpsAtSLO map[string]float64 `json:"qps_at_slo"`
 	Curves   []benchCurveJSON   `json:"curves"`
-	Faults   benchFaultsJSON    `json:"faults"`
-	// Ops is the near-memory operator headline (the two-end selectivity
-	// sweep): omitted by artifacts recorded before the subsystem existed,
-	// so old files keep parsing.
+	Faults   *benchFaultsJSON   `json:"faults"`
+	// Ops is omitted by artifacts recorded before the operator subsystem
+	// existed, so old files keep parsing.
 	Ops *benchOpsJSON `json:"ops,omitempty"`
 }
 
@@ -184,16 +186,19 @@ type benchFaultsJSON struct {
 	Diverged      int     `json:"diverged"`
 }
 
-// replFaultsJSON builds the replication half of the faults section.
-func replFaultsJSON(fr *mcn.ServeReplResult) benchFaultsJSON {
-	rc := fr.On.Result.ReplCounters
-	return benchFaultsJSON{
-		P99ReplOffNs: fr.Off.Result.Summary().P99, P99ReplOnNs: fr.On.Result.Summary().P99,
-		MissesReplOff: fr.Off.Result.Misses, MissesReplOn: fr.On.Result.Misses,
-		ErrorsReplOn:  fr.On.Result.Errors,
+// faultsJSON builds the faults section from the admission and
+// replication A/Bs.
+func faultsJSON(fr *mcn.ServeAdmitResult, rr *mcn.ServeReplResult) *benchFaultsJSON {
+	rc := rr.On.Result.ReplCounters
+	return &benchFaultsJSON{
+		P99OffNs: fr.P99Off(), P99RerouteNs: fr.P99Reroute(), P99ShedNs: fr.P99Shed(),
+		Rerouted: fr.Reroute.Rerouted, Shed: fr.Shed.Shed,
+		P99ReplOffNs: rr.Off.Result.Summary().P99, P99ReplOnNs: rr.On.Result.Summary().P99,
+		MissesReplOff: rr.Off.Result.Misses, MissesReplOn: rr.On.Result.Misses,
+		ErrorsReplOn:  rr.On.Result.Errors,
 		FailoverReads: rc.FailoverReads, StaleReads: rc.StaleReads,
 		SyncAcks: rc.SyncAcks, SyncDegraded: rc.SyncDegraded,
-		Diverged: fr.On.Diverged,
+		Diverged: rr.On.Diverged,
 	}
 }
 
@@ -214,12 +219,12 @@ type benchPointJSON struct {
 
 func main() {
 	seed := flag.Uint64("seed", 42, "random seed; the same seed replays bit-identically")
-	topo := flag.String("topo", "mcn5", "serving topology: mcn0, mcn5, 10gbe, scaleup, or any with +batch (request batching), +admit (admission control), +repl (primary/backup replication, implies +admit) and/or +mcnt (MCN-native transport on memory-channel hops) suffixes")
+	topo := flag.String("topo", "mcn5", "serving topology: mcn0, mcn5, 10gbe, scaleup, or any with +batch (request batching), +admit (admission control), +repl (primary/backup replication, implies +admit), +mcnt (MCN-native transport on memory-channel hops) and/or +ops (near-memory operator mix) suffixes")
 	rate := flag.Float64("rate", 400e3, "open-loop offered load, requests/sec")
 	workers := flag.Int("closed", 0, "closed-loop worker count (overrides -rate)")
 	curve := flag.Bool("curve", false, "sweep the full latency-vs-load curve over every topology")
 	bench := flag.Bool("bench", false, "run the sweep and write the qps-at-SLO benchmark JSON")
-	rates := flag.String("rates", "", "comma-separated offered-load ladder for -curve/-bench (default: built-in)")
+	rates := flag.String("rates", "", "comma-separated offered-load ladder for -curve/-bench, or the subset of the artifact's curve points -check re-runs (default: the built-in ladders)")
 	slo := flag.Float64("slo", mcn.DefaultServeSLONs, "p99 SLO in nanoseconds for qps-at-SLO")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
 	out := flag.String("out", "", "write output to this file instead of stdout")
@@ -227,27 +232,10 @@ func main() {
 	sample := flag.Int("sample", 1, "1-in-N span sampling rate for -trace/-metrics (1 traces every request)")
 	metricsOut := flag.String("metrics", "", "single run: write the metrics-registry snapshot JSON to this file")
 	timelineOut := flag.String("timeline", "", "single run: write the windowed timeline JSON (per-1ms qps/tails/queue/subsystem series, burn-rate alerts, attributed incidents) to this file")
-	check := flag.String("check", "", "with -curve: compare the swept points against this BENCH_serve.json and exit non-zero on drift")
-	replCheck := flag.String("replcheck", "", "re-run the replicated DIMM-flap A/B and compare against this BENCH_serve.json's faults section, exiting non-zero on drift")
-	opsCheck := flag.String("opscheck", "", "re-run the near-memory operator smoke sweep and compare against this BENCH_serve.json's ops section, exiting non-zero on drift or a failed savings/decision claim")
+	check := flag.String("check", "", "re-run every section of this artifact (BENCH_serve.json curves, faults and ops; BENCH_wallclock.json points) and exit non-zero on drift")
 	wallBench := flag.Bool("wallbench", false, "measure raw simulator throughput (events/sec) over the canonical topologies and write the BENCH_wallclock.json artifact")
-	wallReps := flag.Int("wallreps", 3, "with -wallbench: best-of-N wall-clock repetitions per point")
-	wallCheck := flag.String("wallcheck", "", "re-run the cheapest wall-bench point per topology and compare against this BENCH_wallclock.json, exiting non-zero on drift")
-	wallTol := flag.Float64("walltol", 0.15, "with -wallcheck: fractional events/sec tolerance (deterministic event counters always compare exactly)")
+	wallReps := flag.Int("wallreps", 3, "with -wallbench: median-of-N wall-clock repetitions per point")
 	flag.Parse()
-
-	if *replCheck != "" {
-		checkReplFaults(*replCheck, *seed)
-		return
-	}
-	if *opsCheck != "" {
-		checkOps(*opsCheck, *seed)
-		return
-	}
-	if *wallCheck != "" {
-		checkWallBench(*wallCheck, *wallTol)
-		return
-	}
 
 	var ladder []float64
 	if *rates != "" {
@@ -264,77 +252,34 @@ func main() {
 	var text string
 	var value any
 	switch {
+	case *check != "":
+		runCheck(*check, *seed, ladder)
+		return
 	case *wallBench:
 		r := mcn.WallBench(*seed, *wallReps)
 		value, text = r, r.String()
 		*jsonOut = *jsonOut || *out != "" // the bench artifact is always JSON
 	case *bench:
-		r := mcn.ServeCurve(*seed, ladder)
-		r.SLONs = *slo
-		b := benchJSON{Seed: r.Seed, SLONs: r.SLONs, QpsAtSLO: map[string]float64{}}
-		for _, c := range r.Curves {
-			b.QpsAtSLO[c.Topo] = c.QpsAtSLO(r.SLONs)
-			bc := benchCurveJSON{Topo: c.Topo}
-			for _, p := range c.Points {
-				bc.Points = append(bc.Points, benchPointJSON{
-					OfferedQPS: p.OfferedQPS, QPS: p.Summary.QPS,
-					P50Ns: p.Summary.P50, P99Ns: p.Summary.P99, P999Ns: p.Summary.P999,
-					Errors: p.Errors, Unfinished: p.Unfinished,
-				})
-			}
-			b.Curves = append(b.Curves, bc)
-		}
-		fr := mcn.ServeAdmit(*seed)
-		rr := mcn.ServeRepl(*seed)
-		b.Faults = replFaultsJSON(rr)
-		b.Faults.P99OffNs, b.Faults.P99RerouteNs, b.Faults.P99ShedNs = fr.P99Off(), fr.P99Reroute(), fr.P99Shed()
-		b.Faults.Rerouted, b.Faults.Shed = fr.Reroute.Rerouted, fr.Shed.Shed
-		or := mcn.ServeOpsSmoke(*seed)
-		b.Ops = opsBenchJSON(or)
-		value, text = b, r.String()+"\n"+fr.String()+"\n"+rr.String()+"\n"+or.String()
+		value, text = runBench(*seed, ladder, *slo)
 		*jsonOut = *jsonOut || *out != "" // the bench artifact is always JSON
 	case *curve:
 		r := mcn.ServeCurve(*seed, ladder)
 		r.SLONs = *slo
-		if *check != "" {
-			checkCurve(*check, r)
-		}
 		value, text = r, r.String()
 	default:
-		var res *mcn.ServeResult
-		if *traceOut != "" || *metricsOut != "" || *timelineOut != "" {
-			tr := mcn.ServeTraced(*seed, *topo, *rate, *workers, *sample)
-			res = tr.Result
-			ct := mcn.CombinedTrace{Tracer: tr.Tracer, Snapshot: tr.Snapshot, Timeline: tr.Timeline}
+		s := mcn.ServeScenario{Seed: *seed, Topo: *topo, Rate: *rate, Closed: *workers}
+		observed := *traceOut != "" || *metricsOut != "" || *timelineOut != ""
+		if observed {
+			s.Sample, s.Metrics, s.Timeline = max(*sample, 1), true, true
+		}
+		o := mcn.RunScenario(s)
+		if observed {
+			ct := mcn.CombinedTrace{Tracer: o.Tracer, Snapshot: o.Snapshot, Timeline: o.Timeline}
 			writeArtifact(*traceOut, ct.Write)
-			writeArtifact(*metricsOut, tr.Snapshot.WriteJSON)
-			writeArtifact(*timelineOut, tr.Timeline.WriteJSON)
-		} else {
-			res = mcn.ServeOnce(*seed, *topo, *rate, *workers)
+			writeArtifact(*metricsOut, o.Snapshot.WriteJSON)
+			writeArtifact(*timelineOut, o.Timeline.WriteJSON)
 		}
-		j := runJSON{
-			Seed: res.Seed, Topo: *topo, OfferedQPS: res.OfferedQPS, Workers: res.ClosedWorkers,
-			QPS: res.QPS, N: res.N, Errors: res.Errors, Unfinished: res.Unfinished,
-			P50Ns: res.Total.Quantile(0.50), P95Ns: res.Total.Quantile(0.95),
-			P99Ns: res.Total.Quantile(0.99), P999Ns: res.Total.Quantile(0.999),
-			MaxNs: float64(res.Total.Max()), Shed: res.Shed, Rerouted: res.Rerouted,
-			Misses: res.Misses, FailedOver: res.FailedOver,
-			StaleReads: res.ReplCounters.StaleReads,
-			Degraded:   res.Degraded(),
-		}
-		if res.OpsOn {
-			ops := opTally(res.Ops)
-			j.Ops = &ops
-		}
-		for _, ss := range res.PerShard {
-			j.Shards = append(j.Shards, runShardJSON{
-				Shard: ss.Shard, Name: ss.Name, N: ss.N, Errors: ss.Errors,
-				Unfinished: ss.Unfinished, Shed: ss.Shed, Rerouted: ss.Rerouted,
-				Misses: ss.Misses, FailedOver: ss.FailedOver,
-				P99Ns: ss.Lat.Quantile(0.99), MaxNs: ss.Lat.Max(),
-			})
-		}
-		value, text = j, res.String()
+		value, text = runReport(*topo, o.Result), o.Result.String()
 	}
 
 	var buf []byte
@@ -357,6 +302,63 @@ func main() {
 		return
 	}
 	os.Stdout.Write(buf)
+}
+
+// runReport is the single-run JSON of res on topo.
+func runReport(topo string, res *mcn.ServeResult) runJSON {
+	j := runJSON{
+		Seed: res.Seed, Topo: topo, OfferedQPS: res.OfferedQPS, Workers: res.ClosedWorkers,
+		QPS: res.QPS, N: res.N, Errors: res.Errors, Unfinished: res.Unfinished,
+		P50Ns: res.Total.Quantile(0.50), P95Ns: res.Total.Quantile(0.95),
+		P99Ns: res.Total.Quantile(0.99), P999Ns: res.Total.Quantile(0.999),
+		MaxNs: float64(res.Total.Max()), Shed: res.Shed, Rerouted: res.Rerouted,
+		Misses: res.Misses, FailedOver: res.FailedOver,
+		StaleReads: res.ReplCounters.StaleReads,
+		Degraded:   res.Degraded(),
+	}
+	if res.OpsOn {
+		ops := opTally(res.Ops)
+		j.Ops = &ops
+	}
+	for _, ss := range res.PerShard {
+		j.Shards = append(j.Shards, runShardJSON{
+			Shard: ss.Shard, Name: ss.Name, N: ss.N, Errors: ss.Errors,
+			Unfinished: ss.Unfinished, Shed: ss.Shed, Rerouted: ss.Rerouted,
+			Misses: ss.Misses, FailedOver: ss.FailedOver,
+			P99Ns: ss.Lat.Quantile(0.99), MaxNs: ss.Lat.Max(),
+		})
+	}
+	return j
+}
+
+// runBench runs the curve sweep, the DIMM-flap admission and replication
+// A/Bs and the operator smoke sweep: the BENCH_serve.json body and its
+// text rendition.
+func runBench(seed uint64, ladder []float64, slo float64) (*benchJSON, string) {
+	r := mcn.ServeCurve(seed, ladder)
+	r.SLONs = slo
+	b := &benchJSON{Seed: r.Seed, SLONs: r.SLONs, QpsAtSLO: map[string]float64{}}
+	for _, c := range r.Curves {
+		b.QpsAtSLO[c.Topo] = c.QpsAtSLO(r.SLONs)
+		b.Curves = append(b.Curves, curveJSON(c))
+	}
+	fr, rr := mcn.ServeAdmit(seed), mcn.ServeRepl(seed)
+	b.Faults = faultsJSON(fr, rr)
+	or := mcn.ServeOpsSmoke(seed)
+	b.Ops = opsBenchJSON(or)
+	return b, r.String() + "\n" + fr.String() + "\n" + rr.String() + "\n" + or.String()
+}
+
+func curveJSON(c mcn.ServeTopoCurve) benchCurveJSON {
+	bc := benchCurveJSON{Topo: c.Topo}
+	for _, p := range c.Points {
+		bc.Points = append(bc.Points, benchPointJSON{
+			OfferedQPS: p.OfferedQPS, QPS: p.Summary.QPS,
+			P50Ns: p.Summary.P50, P99Ns: p.Summary.P99, P999Ns: p.Summary.P999,
+			Errors: p.Errors, Unfinished: p.Unfinished,
+		})
+	}
+	return bc
 }
 
 // writeArtifact streams one trace/metrics artifact to path (no-op when
@@ -383,249 +385,222 @@ func writeArtifact(path string, write func(io.Writer) error) {
 	}
 }
 
-// checkCurve compares the freshly swept curve against a committed
-// BENCH_serve.json: every (topology, offered-rate) point present in both
-// must agree. The simulator is deterministic, so the tolerance is a pure
-// float-formatting allowance; any real drift (for example, tracing code
-// perturbing the event stream) fails the check.
-func checkCurve(path string, r *mcn.ServeCurveResult) {
+// artifact decodes either committed artifact: BENCH_serve.json (curves,
+// faults, ops) or BENCH_wallclock.json (calibration and points). Their
+// keys are disjoint but for the seed, so one struct holds both, and a
+// file may carry any subset of the sections.
+type artifact struct {
+	benchJSON
+	CalibSpinsPerSec float64              `json:"calib_spins_per_sec"`
+	Points           []mcn.WallBenchPoint `json:"points"`
+}
+
+// runCheck is -check: it re-runs every section of the artifact at path
+// and exits non-zero on any drift.
+func runCheck(path string, seed uint64, ladder []float64) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-check: %v\n", err)
 		os.Exit(1)
 	}
-	var want benchJSON
-	if err := json.Unmarshal(raw, &want); err != nil {
+	var a artifact
+	if err := json.Unmarshal(raw, &a); err != nil {
 		fmt.Fprintf(os.Stderr, "-check: bad artifact %s: %v\n", path, err)
 		os.Exit(1)
 	}
-	if want.Seed != r.Seed {
-		fmt.Fprintf(os.Stderr, "-check: artifact seed %d, run seed %d — not comparable\n", want.Seed, r.Seed)
+	fails, notes := checkArtifact(&a, seed, ladder)
+	for _, n := range notes {
+		fmt.Fprintf(os.Stderr, "-check: %s\n", n)
+	}
+	for _, f := range fails {
+		fmt.Fprintf(os.Stderr, "-check: DRIFT %s\n", f)
+	}
+	if len(fails) > 0 {
+		fmt.Fprintf(os.Stderr, "-check: %d drifts from %s\n", len(fails), path)
 		os.Exit(1)
 	}
-	ref := map[string]map[float64]benchPointJSON{}
-	for _, c := range want.Curves {
-		m := map[float64]benchPointJSON{}
-		for _, p := range c.Points {
-			m[p.OfferedQPS] = p
-		}
-		ref[c.Topo] = m
+	fmt.Fprintf(os.Stderr, "-check: %s OK\n", path)
+}
+
+// checkArtifact re-runs every section a holds at seed and returns one
+// line per drift, each led by its section's name, plus notes on the
+// guards that passed. A non-nil ladder restricts the curve section to
+// those offered loads; the sweep itself is deterministic, so curve,
+// faults and ops values must match the artifact (counts exactly, other
+// numbers to a float-formatting allowance). The wall section compares
+// kernel counters exactly and the spin-normalized event rate within
+// mcn.WallTolerance, re-measuring a miss twice before it counts.
+func checkArtifact(a *artifact, seed uint64, ladder []float64) (fails, notes []string) {
+	fail := func(section, format string, args ...any) {
+		fails = append(fails, section+": "+fmt.Sprintf(format, args...))
 	}
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+	if a.Seed != seed {
+		fail("seed", "artifact seed %d, run seed %d — not comparable", a.Seed, seed)
+		return fails, nil
 	}
-	checked, bad := 0, 0
-	for _, c := range r.Curves {
-		for _, p := range c.Points {
-			w, ok := ref[c.Topo][p.OfferedQPS]
-			if !ok {
-				continue
-			}
-			checked++
-			if !near(p.Summary.QPS, w.QPS) || !near(p.Summary.P50, w.P50Ns) ||
-				!near(p.Summary.P99, w.P99Ns) || !near(p.Summary.P999, w.P999Ns) ||
-				p.Errors != w.Errors || p.Unfinished != w.Unfinished {
-				bad++
-				fmt.Fprintf(os.Stderr, "-check: %s @ %.0f req/s drifted:\n  got  qps=%.2f p50=%.1f p99=%.1f p999=%.1f err=%d unf=%d\n  want qps=%.2f p50=%.1f p99=%.1f p999=%.1f err=%d unf=%d\n",
-					c.Topo, p.OfferedQPS,
-					p.Summary.QPS, p.Summary.P50, p.Summary.P99, p.Summary.P999, p.Errors, p.Unfinished,
-					w.QPS, w.P50Ns, w.P99Ns, w.P999Ns, w.Errors, w.Unfinished)
-			}
-		}
+	if len(a.Curves) == 0 && a.Faults == nil && a.Ops == nil && len(a.Points) == 0 {
+		fail("artifact", "no curves, faults, ops or points section")
 	}
-	if checked == 0 {
-		fmt.Fprintf(os.Stderr, "-check: no overlapping (topo, rate) points between the sweep and %s\n", path)
-		os.Exit(1)
-	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "-check: %d/%d points drifted from %s\n", bad, checked, path)
-		os.Exit(1)
-	}
-	// Replication overhead guard: the replicated topology's healthy knee
-	// must sit within 5% of the batched one's — the async forward path may
-	// not tax the primary's serving capacity. The knee is the p99-vs-SLO
-	// crossing interpolated between ladder points, not the quantized
-	// QpsAtSLO step: on a sparse rate ladder a curve whose p99 grazes the
-	// SLO at the top rate would otherwise "lose" a whole ladder step.
-	if br, bb := r.Curve("mcn5+batch+repl"), r.Curve("mcn5+batch"); br != nil && bb != nil {
-		kr, kb := kneeQps(br, r.SLONs), kneeQps(bb, r.SLONs)
-		if kb > 0 && math.Abs(kr-kb) > 0.05*kb {
-			fmt.Fprintf(os.Stderr, "-check: replicated knee %.0f strays >5%% from batched knee %.0f\n", kr, kb)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "-check: replicated knee %.0f within 5%% of batched knee %.0f\n", kr, kb)
-	}
-	// mcnt transport guard: swapping the memory-channel hops from TCP to
-	// the credit-based transport must move the batched knee decisively —
-	// at least 15% past the TCP curve's interpolated knee (~2.39M on the
-	// recorded ladder). A smaller gap means the per-segment stack cost
-	// crept back into the mcnt path. The guard only fires when the TCP
-	// curve actually reaches its knee within the swept ladder — on a
-	// truncated smoke ladder both curves top out at the same rung and the
-	// comparison is meaningless.
-	if bm, bb := r.Curve("mcn5+batch+mcnt"), r.Curve("mcn5+batch"); bm != nil && bb != nil {
-		crossed := false
-		for _, p := range bb.Points {
-			if !p.Healthy() || p.Summary.P99 > r.SLONs {
-				crossed = true
+
+	if len(a.Curves) > 0 {
+		r := mcn.ServeCurve(seed, ladder)
+		want := map[string]map[float64]benchPointJSON{}
+		for _, c := range a.Curves {
+			want[c.Topo] = map[float64]benchPointJSON{}
+			for _, p := range c.Points {
+				want[c.Topo][p.OfferedQPS] = p
 			}
 		}
-		km, kb := kneeQps(bm, r.SLONs), kneeQps(bb, r.SLONs)
-		switch {
-		case !crossed:
-			fmt.Fprintf(os.Stderr, "-check: ladder too short to reach the batched TCP knee; mcnt knee guard skipped\n")
-		case kb > 0 && km < 1.15*kb:
-			fmt.Fprintf(os.Stderr, "-check: mcnt knee %.0f not >15%% past batched TCP knee %.0f\n", km, kb)
-			os.Exit(1)
+		checked := 0
+		for _, c := range r.Curves {
+			for _, p := range curveJSON(c).Points {
+				w, ok := want[c.Topo][p.OfferedQPS]
+				if !ok {
+					continue
+				}
+				checked++
+				for _, d := range diffJSON(p, w) {
+					fail("curves", "%s @ %.0f req/s: %s", c.Topo, p.OfferedQPS, d)
+				}
+			}
+		}
+		if checked == 0 {
+			fail("curves", "no (topo, rate) point of the sweep is in the artifact")
+		}
+		notes = append(notes, fmt.Sprintf("curves: %d points compared", checked))
+		slo := a.SLONs
+		if slo == 0 {
+			slo = mcn.DefaultServeSLONs
+		}
+		// Replication overhead: the replicated knee must sit within 5% of
+		// the batched one's — the async forward path may not tax the
+		// primary's serving capacity.
+		if br, bb := r.Curve("mcn5+batch+repl"), r.Curve("mcn5+batch"); br != nil && bb != nil {
+			kr, kb := br.Knee(slo), bb.Knee(slo)
+			if kb > 0 && math.Abs(kr-kb) > 0.05*kb {
+				fail("curves", "replicated knee %.0f strays >5%% from batched knee %.0f", kr, kb)
+			} else {
+				notes = append(notes, fmt.Sprintf("curves: replicated knee %.0f within 5%% of batched knee %.0f", kr, kb))
+			}
+		}
+		// mcnt transport: the credit-based transport must move the batched
+		// knee at least 15% past the TCP curve's. A smaller gap means the
+		// per-segment stack cost crept back into the mcnt path. Only
+		// meaningful when the TCP curve reaches its knee within the ladder;
+		// on a short smoke ladder both curves top out at the same rung.
+		if bm, bb := r.Curve("mcn5+batch+mcnt"), r.Curve("mcn5+batch"); bm != nil && bb != nil {
+			crossed := false
+			for _, p := range bb.Points {
+				crossed = crossed || !p.Healthy() || p.Summary.P99 > slo
+			}
+			km, kb := bm.Knee(slo), bb.Knee(slo)
+			switch {
+			case !crossed:
+				notes = append(notes, "curves: ladder too short to reach the batched TCP knee; mcnt knee guard skipped")
+			case kb > 0 && km < 1.15*kb:
+				fail("curves", "mcnt knee %.0f not >15%% past batched TCP knee %.0f", km, kb)
+			default:
+				notes = append(notes, fmt.Sprintf("curves: mcnt knee %.0f clears batched TCP knee %.0f by %.0f%%", km, kb, 100*(km-kb)/kb))
+			}
+		}
+	}
+
+	if a.Faults != nil {
+		for _, d := range diffJSON(faultsJSON(mcn.ServeAdmit(seed), mcn.ServeRepl(seed)), a.Faults) {
+			fail("faults", "%s", d)
+		}
+		notes = append(notes, "faults: admission and replication flap A/Bs re-run")
+	}
+
+	if a.Ops != nil {
+		r := mcn.ServeOpsSmoke(seed)
+		for _, c := range r.Check() {
+			fail("ops", "claim failed: %s", c)
+		}
+		for _, d := range diffJSON(opsBenchJSON(r), a.Ops) {
+			fail("ops", "%s", d)
+		}
+		notes = append(notes, fmt.Sprintf("ops: %d-selectivity sweep and its claims re-run", len(r.Rows)))
+	}
+
+	if len(a.Points) > 0 {
+		stored := mcn.WallBenchResult{Seed: a.Seed, CalibSpinsPerSec: a.CalibSpinsPerSec, Points: a.Points}
+		for _, d := range mcn.WallBenchCheck(&stored, mcn.WallTolerance) {
+			fail("wall", "%s", d)
+		}
+		notes = append(notes, fmt.Sprintf("wall: mid-ladder points re-run (counters exact, events/sec within %.0f%%)", mcn.WallTolerance*100))
+	}
+	return fails, notes
+}
+
+// diffJSON compares the JSON renderings of got and want scalar by scalar
+// and lists, sorted by path, every scalar of want that got lacks or
+// disagrees on. Integers compare exactly, other numbers within 1e-9
+// relative (a float-formatting allowance: the runs are deterministic).
+// Scalars only got has are new fields and pass.
+func diffJSON(got, want any) []string {
+	g, w := flatJSON(got), flatJSON(want)
+	var out []string
+	for path, wv := range w {
+		gv, ok := g[path]
+		if !ok {
+			out = append(out, fmt.Sprintf("%s missing, artifact has %v", path, wv))
+		} else if !sameScalar(gv, wv) {
+			out = append(out, fmt.Sprintf("%s = %v, artifact has %v", path, gv, wv))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// flatJSON renders v as JSON and flattens it to path -> scalar, with
+// paths like "rows[1].auto_host".
+func flatJSON(v any) map[string]any {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // every value passed here is a plain data struct
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		panic(err)
+	}
+	out := map[string]any{}
+	var walk func(path string, x any)
+	walk = func(path string, x any) {
+		switch t := x.(type) {
+		case map[string]any:
+			for k, v := range t {
+				if path != "" {
+					k = path + "." + k
+				}
+				walk(k, v)
+			}
+		case []any:
+			for i, v := range t {
+				walk(fmt.Sprintf("%s[%d]", path, i), v)
+			}
 		default:
-			fmt.Fprintf(os.Stderr, "-check: mcnt knee %.0f clears batched TCP knee %.0f by %.0f%%\n", km, kb, 100*(km-kb)/kb)
+			out[path] = t
 		}
 	}
-	fmt.Fprintf(os.Stderr, "-check: %d points match %s\n", checked, path)
+	walk("", tree)
+	return out
 }
 
-// kneeQps locates where a curve's p99 crosses the SLO, linearly
-// interpolated in achieved qps between the bracketing ladder points. A
-// curve that never crosses is credited its highest achieved throughput.
-func kneeQps(c *mcn.ServeTopoCurve, sloNs float64) float64 {
-	knee := 0.0
-	for i, p := range c.Points {
-		if !p.Healthy() {
-			break
-		}
-		if p.Summary.P99 <= sloNs {
-			knee = p.Summary.QPS
-			continue
-		}
-		if i > 0 {
-			prev := c.Points[i-1].Summary
-			if p.Summary.P99 > prev.P99 {
-				frac := (sloNs - prev.P99) / (p.Summary.P99 - prev.P99)
-				knee = prev.QPS + frac*(p.Summary.QPS-prev.QPS)
-			}
-		}
-		break
+func sameScalar(a, b any) bool {
+	an, aok := a.(json.Number)
+	bn, bok := b.(json.Number)
+	if !aok || !bok {
+		return a == b
 	}
-	return knee
-}
-
-// checkReplFaults re-runs the replicated DIMM-flap A/B at the artifact's
-// conditions and compares the replication half of the faults section:
-// counts exactly (the simulator is deterministic), quantiles to the same
-// float-formatting allowance as checkCurve.
-// checkWallBench re-runs the cheapest wall-bench point per topology from
-// the committed BENCH_wallclock.json and exits non-zero on drift: the
-// deterministic kernel counters must match exactly, the wall-clock event
-// rate within tol.
-func checkWallBench(path string, tol float64) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-wallcheck: %v\n", err)
-		os.Exit(1)
-	}
-	var stored mcn.WallBenchResult
-	if err := json.Unmarshal(raw, &stored); err != nil {
-		fmt.Fprintf(os.Stderr, "-wallcheck: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if drift := mcn.WallBenchCheck(&stored, tol); len(drift) > 0 {
-		for _, d := range drift {
-			fmt.Fprintln(os.Stderr, "wallcheck: "+d)
-		}
-		os.Exit(1)
-	}
-	topos := map[string]bool{}
-	for _, p := range stored.Points {
-		topos[p.Topo] = true
-	}
-	fmt.Printf("wallcheck: OK (%d topologies, events/sec tolerance %.0f%%)\n", len(topos), tol*100)
-}
-
-// checkOps re-runs the near-memory operator smoke sweep at the
-// artifact's seed, audits the savings/decision claims (ServeOpsResult
-// .Check), and compares against the artifact's ops section: byte counts
-// and decision tallies exactly (the simulator is deterministic),
-// quantiles and the calibrated cost to the float-formatting allowance.
-func checkOps(path string, seed uint64) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-opscheck: %v\n", err)
-		os.Exit(1)
-	}
-	var want benchJSON
-	if err := json.Unmarshal(raw, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "-opscheck: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if want.Ops == nil {
-		fmt.Fprintf(os.Stderr, "-opscheck: %s has no ops section (recorded before the operator subsystem)\n", path)
-		os.Exit(1)
-	}
-	if want.Seed != seed {
-		fmt.Fprintf(os.Stderr, "-opscheck: artifact seed %d, run seed %d — not comparable\n", want.Seed, seed)
-		os.Exit(1)
-	}
-	r := mcn.ServeOpsSmoke(seed)
-	if bad := r.Check(); len(bad) > 0 {
-		for _, d := range bad {
-			fmt.Fprintln(os.Stderr, "opscheck: claim failed: "+d)
-		}
-		os.Exit(1)
-	}
-	got := opsBenchJSON(r)
-	w := want.Ops
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	if got.Topo != w.Topo || !near(got.Rate, w.Rate) || !near(got.ChannelNsPerByte, w.ChannelNsPerByte) || len(got.Rows) != len(w.Rows) {
-		fmt.Fprintf(os.Stderr, "-opscheck: sweep shape drifted from %s:\n  got  %+v\n  want %+v\n", path, got, w)
-		os.Exit(1)
-	}
-	for i, g := range got.Rows {
-		x := w.Rows[i]
-		if !near(g.Selectivity, x.Selectivity) || g.FilterIssued != x.FilterIssued ||
-			g.HostFilterBytes != x.HostFilterBytes || g.DimmFilterBytes != x.DimmFilterBytes ||
-			g.AutoOffloaded != x.AutoOffloaded || g.AutoHost != x.AutoHost ||
-			!near(g.HostFilterP99Ns, x.HostFilterP99Ns) || !near(g.DimmFilterP99Ns, x.DimmFilterP99Ns) {
-			fmt.Fprintf(os.Stderr, "-opscheck: sel=%.2f drifted from %s:\n  got  %+v\n  want %+v\n",
-				g.Selectivity, path, g, x)
-			os.Exit(1)
+	if _, err := an.Int64(); err == nil {
+		if _, err := bn.Int64(); err == nil {
+			return an == bn
 		}
 	}
-	lo := got.Rows[0]
-	fmt.Fprintf(os.Stderr, "-opscheck: ops sweep matches %s (sel=%.0f%% host/dimm bytes %.1fx, auto offloaded %d/%d)\n",
-		path, lo.Selectivity*100, lo.HostOverDimm, lo.AutoOffloaded, lo.FilterIssued)
-}
-
-func checkReplFaults(path string, seed uint64) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-replcheck: %v\n", err)
-		os.Exit(1)
-	}
-	var want benchJSON
-	if err := json.Unmarshal(raw, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "-replcheck: bad artifact %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if want.Seed != seed {
-		fmt.Fprintf(os.Stderr, "-replcheck: artifact seed %d, run seed %d — not comparable\n", want.Seed, seed)
-		os.Exit(1)
-	}
-	got := replFaultsJSON(mcn.ServeRepl(seed))
-	near := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	w := want.Faults
-	if !near(got.P99ReplOffNs, w.P99ReplOffNs) || !near(got.P99ReplOnNs, w.P99ReplOnNs) ||
-		got.MissesReplOff != w.MissesReplOff || got.MissesReplOn != w.MissesReplOn ||
-		got.ErrorsReplOn != w.ErrorsReplOn ||
-		got.FailoverReads != w.FailoverReads || got.StaleReads != w.StaleReads ||
-		got.SyncAcks != w.SyncAcks || got.SyncDegraded != w.SyncDegraded ||
-		got.Diverged != w.Diverged {
-		fmt.Fprintf(os.Stderr, "-replcheck: replicated flap drifted from %s:\n  got  %+v\n  want %+v\n", path, got, w)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "-replcheck: replicated flap matches %s (misses off=%d on=%d, failover=%d, diverged=%d)\n",
-		path, got.MissesReplOff, got.MissesReplOn, got.FailoverReads, got.Diverged)
+	af, _ := an.Float64()
+	bf, _ := bn.Float64()
+	return math.Abs(af-bf) <= 1e-9*math.Max(math.Abs(af), math.Abs(bf))
 }

@@ -40,12 +40,11 @@ var goldenReplayRuns = []string{"mcn5", "mcn5+batch", "mcn5+batch+mcnt", "mcn5+b
 // mcnt runs — the fabric's frame/credit accounting summary.
 func goldenReplayDigest(t *testing.T, name string) string {
 	t.Helper()
-	var run *mcn.ServeTraceResult
+	s := mcn.ServeScenario{Seed: goldenReplaySeed, Topo: name, Rate: goldenReplayRate, Sample: 1, Metrics: true, Timeline: true}
 	if name == "mcn5+batch+faults" {
-		run = mcn.ServeTracedFaults(goldenReplaySeed, "mcn5+batch", goldenReplayRate, 1)
-	} else {
-		run = mcn.ServeTraced(goldenReplaySeed, name, goldenReplayRate, 0, 1)
+		s.Topo, s.Flap = "mcn5+batch", true
 	}
+	run := mcn.RunScenario(s)
 	h := sha256.New()
 	section := func(tag string, write func(io.Writer) error) {
 		fmt.Fprintf(h, "-- %s --\n", tag)

@@ -275,7 +275,7 @@ func TestObservabilityOnPublicAPI(t *testing.T) {
 	// The facade exposes the observability plane: a traced serving run
 	// produces spans whose phases telescope to end-to-end latency, a
 	// metrics snapshot, and the Perfetto artifact.
-	r := mcn.ServeTraced(1, "mcn5", 100e3, 0, 4)
+	r := mcn.RunScenario(mcn.ServeScenario{Seed: 1, Topo: "mcn5", Rate: 100e3, Sample: 4, Metrics: true, Timeline: true})
 	if r.Result.N == 0 || r.Tracer.Finished == 0 {
 		t.Fatalf("traced run: n=%d finished=%d", r.Result.N, r.Tracer.Finished)
 	}
@@ -309,7 +309,7 @@ func TestObservabilityOnPublicAPI(t *testing.T) {
 	}
 
 	// The faulted variant stays deterministic through the facade too.
-	f := mcn.ServeTracedFaults(3, "mcn5+batch", 100e3, 8)
+	f := mcn.RunScenario(mcn.ServeScenario{Seed: 3, Topo: "mcn5+batch", Rate: 100e3, Flap: true, Sample: 8, Metrics: true, Timeline: true})
 	if f.Result.N == 0 {
 		t.Fatal("faulted traced run completed nothing")
 	}

@@ -4,108 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mcn-arch/mcn/internal/faults"
 	"github.com/mcn-arch/mcn/internal/obs"
-	"github.com/mcn-arch/mcn/internal/serve"
-	"github.com/mcn-arch/mcn/internal/sim"
 )
-
-// ServeTraceResult is one traced serving run: the ordinary telemetry plus
-// the span tracer (for Perfetto export and phase attribution) and the
-// end-of-run metrics snapshot.
-type ServeTraceResult struct {
-	Topo     string
-	Result   *serve.Result
-	Tracer   *obs.Tracer
-	Snapshot *obs.Snapshot
-	// Timeline is the windowed time-series of the run (1ms windows,
-	// finalized), feeding the -timeline artifact and the Perfetto
-	// counter tracks.
-	Timeline *obs.Timeline
-	// McntFabric is the mcnt fabric's traffic summary when the topology
-	// carried a "+mcnt" suffix; empty otherwise.
-	McntFabric string
-}
-
-// ServeTraced runs one serving point with the observability plane on:
-// sampleN is the 1-in-N span sampling rate (1 traces every request),
-// closedWorkers > 0 switches to the closed-loop driver. The tracer taps
-// the client/shard stacks, the kvstore servers and — on MCN fabrics —
-// the SRAM channel drivers, so spans carry the full phase breakdown.
-// Tracing draws only from seeded streams and charges no simulated time,
-// so the run's event stream is identical to ServeOnce's.
-func ServeTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN int) *ServeTraceResult {
-	return serveTraced(seed, topo, rate, closedWorkers, sampleN, nil)
-}
-
-// ServeTracedFaults is ServeTraced under the standard DIMM-flap plan
-// (host/mcn3 offline for 2ms starting 1ms into the measured window) —
-// the traced counterpart of ServeFaults, used to prove the trace
-// artifacts themselves replay byte-identically under fault injection.
-func ServeTracedFaults(seed uint64, topo string, rate float64, sampleN int) *ServeTraceResult {
-	return serveTraced(seed, topo, rate, 0, sampleN, func(k *sim.Kernel, cfg *serve.Config) *faults.Plan {
-		cfg.Drain = 20 * sim.Millisecond
-		flapStart := k.Now().Add(cfg.Warmup).Add(sim.Millisecond)
-		return &faults.Plan{
-			Seed:      seed,
-			DimmFlaps: []faults.DimmFlap{{Name: "host/mcn3", Start: flapStart, End: flapStart.Add(2 * sim.Millisecond)}},
-		}
-	})
-}
-
-func serveTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN int,
-	plan func(*sim.Kernel, *serve.Config) *faults.Plan) *ServeTraceResult {
-	fabric, batched, admitted, replicated, mcntOn, opsOn := parseServeTopo(topo)
-	k := sim.NewKernel()
-	shards, clients, inject, observe, fab := buildServeTopo(k, fabric, mcntOn)
-	cfg := serveConfig(seed, rate)
-	cfg.Shards, cfg.Clients = shards, clients
-	if batched {
-		cfg.Batch = DefaultServeBatch
-	}
-	if admitted {
-		cfg.Admit = DefaultServeAdmit
-	}
-	if replicated {
-		cfg.Repl = DefaultServeRepl
-		if !cfg.Admit.Enabled() {
-			cfg.Admit = DefaultServeAdmit
-		}
-	}
-	if opsOn {
-		cfg.Ops = DefaultServeOps
-	}
-	if closedWorkers > 0 {
-		cfg.ClosedWorkers = closedWorkers
-		cfg.RatePerSec = 0
-	}
-	tl := obs.NewTimeline(k.Now(), obs.TimelineConfig{SLONs: DefaultServeSLONs})
-	if plan != nil {
-		if p := plan(k, &cfg); p != nil {
-			inject(faults.New(k, *p))
-			for _, fl := range p.DimmFlaps {
-				tl.AddFault(fl.Name, fl.Start, fl.End)
-			}
-		}
-	}
-	tr := obs.NewTracer(seed, sampleN, 0)
-	reg := obs.NewRegistry()
-	observe(tr)
-	cfg.Tracer, cfg.Metrics, cfg.Timeline = tr, reg, tl
-	if fab != nil {
-		fab.OnResend = tl.McntResent
-		fab.OnCreditStall = tl.McntCreditStall
-	}
-	res := serve.Run(k, cfg)
-	snap := reg.Snapshot(k.Now())
-	tl.Finalize()
-	out := &ServeTraceResult{Topo: topo, Result: res, Tracer: tr, Snapshot: snap, Timeline: tl}
-	if fab != nil {
-		out.McntFabric = fab.String()
-	}
-	k.Shutdown()
-	return out
-}
 
 // ServeAttribTopos is the configuration ladder of the attribution table:
 // the unoptimized MCN server, the fully optimized one, the optimized
@@ -139,7 +39,7 @@ type ServeAttribResult struct {
 func ServeAttrib(seed uint64) *ServeAttribResult {
 	out := &ServeAttribResult{Seed: seed, Rate: ServeAttribRate, Topos: ServeAttribTopos}
 	for _, topo := range ServeAttribTopos {
-		r := ServeTraced(seed, topo, ServeAttribRate, 0, 1)
+		r := Run(Scenario{Seed: seed, Topo: topo, Rate: ServeAttribRate, Sample: 1})
 		out.Rows = append(out.Rows, r.Tracer.Attribution())
 	}
 	return out

@@ -5,12 +5,6 @@ import (
 	"strings"
 
 	"github.com/mcn-arch/mcn/internal/admit"
-	"github.com/mcn-arch/mcn/internal/cluster"
-	"github.com/mcn-arch/mcn/internal/core"
-	"github.com/mcn-arch/mcn/internal/faults"
-	"github.com/mcn-arch/mcn/internal/kvstore"
-	"github.com/mcn-arch/mcn/internal/mcnt"
-	"github.com/mcn-arch/mcn/internal/netstack"
 	"github.com/mcn-arch/mcn/internal/obs"
 	"github.com/mcn-arch/mcn/internal/replica"
 	"github.com/mcn-arch/mcn/internal/serve"
@@ -85,6 +79,9 @@ type ServePoint struct {
 	Errors     int64
 	Unfinished int64
 	Degraded   []int
+	// BatchMean and BatchMax are the requests per flushed batch (0 when
+	// the topology does not batch).
+	BatchMean, BatchMax float64
 }
 
 // Healthy reports whether the point completed every measured request.
@@ -109,6 +106,35 @@ func (c ServeTopoCurve) QpsAtSLO(sloNs float64) float64 {
 	return best
 }
 
+// Knee locates where the curve's p99 crosses the objective (ns),
+// linearly interpolated in achieved qps between the bracketing points.
+// Unlike QpsAtSLO it does not lose a whole ladder step when the p99
+// grazes the objective at a sparse rung. The walk stops at the first
+// unhealthy point; a curve that never crosses before it is credited the
+// last achieved throughput, and one that starts above the objective
+// gets 0.
+func (c ServeTopoCurve) Knee(sloNs float64) float64 {
+	knee := 0.0
+	for i, p := range c.Points {
+		if !p.Healthy() {
+			break
+		}
+		if p.Summary.P99 <= sloNs {
+			knee = p.Summary.QPS
+			continue
+		}
+		if i > 0 {
+			// The previous point met the objective, so the p99 rose
+			// across it and the denominator is positive.
+			prev := c.Points[i-1].Summary
+			frac := (sloNs - prev.P99) / (p.Summary.P99 - prev.P99)
+			knee = prev.QPS + frac*(p.Summary.QPS-prev.QPS)
+		}
+		break
+	}
+	return knee
+}
+
 // ServeCurveResult is the full sweep.
 type ServeCurveResult struct {
 	Seed   uint64
@@ -126,174 +152,6 @@ func (r *ServeCurveResult) Curve(topo string) *ServeTopoCurve {
 	return nil
 }
 
-// serveConfig is the shared workload/run shape of every sweep point.
-func serveConfig(seed uint64, rate float64) serve.Config {
-	return serve.Config{
-		Seed:       seed,
-		Workload:   serve.Workload{Keys: 4000, ValueBytes: 128},
-		RatePerSec: rate,
-		Warmup:     sim.Millisecond,
-		Measure:    5 * sim.Millisecond,
-		Drain:      2 * sim.Millisecond,
-	}
-}
-
-// buildServeTopo constructs the named topology on k and returns the shard
-// and client sides. Every topology exposes ServeShards kvstore shards.
-// observe wires the fabric's driver-level observation points (the MCN
-// SRAM channel taps, and the mcnt frame tap when the transport is on)
-// into a tracer; it is a no-op on fabrics without an MCN channel
-// (serve.Run wires the stack and kvstore taps itself). useMcnt attaches
-// the mcnt fabric and installs it as every endpoint's transport, so the
-// shard connections ride the credit-based protocol instead of TCP; fab
-// is then the attached fabric (nil otherwise).
-func buildServeTopo(k *sim.Kernel, topo string, useMcnt bool) (shards []serve.Shard, clients []cluster.Endpoint, inject func(*faults.Injector), observe func(*obs.Tracer), fab *mcnt.Fabric) {
-	observe = func(*obs.Tracer) {}
-	switch topo {
-	case "mcn0", "mcn5":
-		opts := core.MCN0.Options()
-		if topo == "mcn5" {
-			opts = core.MCN5.Options()
-		}
-		s := cluster.NewMcnServer(k, ServeShards, opts)
-		if useMcnt {
-			fab = mcnt.Attach(k, s.Host, mcnt.DefaultParams())
-		}
-		for _, m := range s.Mcns {
-			ep := cluster.Endpoint{Node: m.Node, IP: m.IP}
-			if fab != nil {
-				ep.Transport = fab.TransportFor(m.Node)
-			}
-			srv := kvstore.NewServer(k, ep, 11211)
-			shards = append(shards, serve.Shard{Name: m.Node.Name, Addr: m.IP, Port: 11211, Server: srv})
-		}
-		cl := cluster.Endpoint{Node: s.Host.Node, IP: s.Host.HostMcnIP()}
-		if fab != nil {
-			cl.Transport = fab.TransportFor(s.Host.Node)
-		}
-		clients = []cluster.Endpoint{cl}
-		inject = s.InjectFaults
-		observe = func(t *obs.Tracer) {
-			s.Host.Driver.ChanTap = t
-			for _, m := range s.Mcns {
-				m.Drv.ChanTap = t
-			}
-			if fab != nil {
-				fab.SetTap(t)
-			}
-		}
-	case "10gbe":
-		c := newEthCluster(k, ServeShards+1)
-		eps := c.Endpoints()
-		for _, ep := range eps[1:] {
-			srv := kvstore.NewServer(k, ep, 11211)
-			shards = append(shards, serve.Shard{Name: ep.Node.Name, Addr: ep.IP, Port: 11211, Server: srv})
-		}
-		clients = eps[:1]
-		inject = c.InjectFaults
-	case "scaleup":
-		h := cluster.NewScaleUp(k, 16)
-		ep := cluster.Endpoint{Node: h.Node, IP: netstack.Loopback}
-		for i := 0; i < ServeShards; i++ {
-			port := uint16(11211 + i)
-			srv := kvstore.NewServer(k, ep, port)
-			shards = append(shards, serve.Shard{
-				Name: fmt.Sprintf("lo:%d", port), Addr: netstack.Loopback, Port: port, Server: srv,
-			})
-		}
-		clients = []cluster.Endpoint{ep}
-		inject = func(*faults.Injector) {}
-	default:
-		panic(fmt.Sprintf("exp: unknown serve topology %q", topo))
-	}
-	if useMcnt && fab == nil {
-		panic(fmt.Sprintf("exp: topology %q has no MCN fabric for +mcnt", topo))
-	}
-	return shards, clients, inject, observe, fab
-}
-
-// parseServeTopo strips the composable "+batch"/"+admit"/"+repl"/"+mcnt"/
-// "+ops" suffixes off a topology name, in any order, returning the bare
-// fabric and the flags.
-func parseServeTopo(topo string) (fabric string, batched, admitted, replicated, mcntOn, opsOn bool) {
-	fabric = topo
-	for {
-		if f, ok := strings.CutSuffix(fabric, "+batch"); ok {
-			fabric, batched = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+admit"); ok {
-			fabric, admitted = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+repl"); ok {
-			fabric, replicated = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+mcnt"); ok {
-			fabric, mcntOn = f, true
-			continue
-		}
-		if f, ok := strings.CutSuffix(fabric, "+ops"); ok {
-			fabric, opsOn = f, true
-			continue
-		}
-		return fabric, batched, admitted, replicated, mcntOn, opsOn
-	}
-}
-
-// runServe executes one point: fresh kernel, topology, measured run. A
-// "+batch" suffix on topo enables DefaultServeBatch, a "+admit" suffix
-// DefaultServeAdmit, and a "+repl" suffix DefaultServeRepl (which implies
-// "+admit") on the fabric the remainder names; suffixes compose in any
-// order ("mcn5+batch+admit" == "mcn5+admit+batch").
-func runServe(seed uint64, topo string, rate float64, plan *faults.Plan, mutate func(*serve.Config)) *serve.Result {
-	fabric, batched, admitted, replicated, mcntOn, opsOn := parseServeTopo(topo)
-	k := sim.NewKernel()
-	shards, clients, inject, observe, _ := buildServeTopo(k, fabric, mcntOn)
-	_ = observe
-	if plan != nil {
-		inject(faults.New(k, *plan))
-	}
-	cfg := serveConfig(seed, rate)
-	cfg.Shards, cfg.Clients = shards, clients
-	if batched {
-		cfg.Batch = DefaultServeBatch
-	}
-	if admitted {
-		cfg.Admit = DefaultServeAdmit
-	}
-	if replicated {
-		cfg.Repl = DefaultServeRepl
-		if !cfg.Admit.Enabled() {
-			cfg.Admit = DefaultServeAdmit
-		}
-	}
-	if opsOn {
-		cfg.Ops = DefaultServeOps
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	res := serve.Run(k, cfg)
-	k.Shutdown()
-	return res
-}
-
-// ServeOnce runs one point of the serving benchmark on the named topology
-// ("mcn0", "mcn5", "10gbe", "scaleup", or any of these with a "+batch"
-// suffix for request batching and/or a "+admit" suffix for admission
-// control). closedWorkers > 0 switches to the closed-loop driver and
-// ignores rate.
-func ServeOnce(seed uint64, topo string, rate float64, closedWorkers int) *serve.Result {
-	return runServe(seed, topo, rate, nil, func(c *serve.Config) {
-		if closedWorkers > 0 {
-			c.ClosedWorkers = closedWorkers
-			c.RatePerSec = 0
-		}
-	})
-}
-
 // ServeCurve sweeps offered load over every serving topology: the
 // MCN server at both optimization extremes, the 10GbE scale-out rack, and
 // the single scale-up box. Same seed, same curves — every random stream is
@@ -301,30 +159,32 @@ func ServeOnce(seed uint64, topo string, rate float64, closedWorkers int) *serve
 func ServeCurve(seed uint64, rates []float64) *ServeCurveResult {
 	res := &ServeCurveResult{Seed: seed, SLONs: DefaultServeSLONs}
 	for _, topo := range ServeTopos {
-		topoRates := rates
-		if topoRates == nil {
-			// Default ladder per topology: "+mcnt" sweeps the extended
-			// ladder (its knee sits past the TCP rungs) while everything
-			// else keeps the recorded baseline ladder point-for-point.
-			topoRates = DefaultServeRates
-			if _, _, _, _, mcntOn, _ := parseServeTopo(topo); mcntOn {
-				topoRates = McntServeRates
-			}
-		}
-		curve := ServeTopoCurve{Topo: topo}
-		for _, rate := range topoRates {
-			r := runServe(seed, topo, rate, nil, nil)
-			curve.Points = append(curve.Points, ServePoint{
-				OfferedQPS: rate,
-				Summary:    r.Summary(),
-				Errors:     r.Errors,
-				Unfinished: r.Unfinished,
-				Degraded:   r.Degraded(),
-			})
-		}
-		res.Curves = append(res.Curves, curve)
+		res.Curves = append(res.Curves, sweep(seed, topo, serveRates(topo, rates)))
 	}
 	return res
+}
+
+// serveRates is the ladder topo sweeps: rates when given, else the
+// default per topology — "+mcnt" sweeps the extended ladder (its knee
+// sits past the TCP rungs) while everything else keeps the recorded
+// baseline ladder point-for-point.
+func serveRates(topo string, rates []float64) []float64 {
+	if rates != nil {
+		return rates
+	}
+	if _, m := parseServeTopo(topo); m.Mcnt {
+		return McntServeRates
+	}
+	return DefaultServeRates
+}
+
+// flapRate is the offered load of the DIMM-flap experiments: well under
+// every fabric's knee, so the damage is the flap's, not queueing's.
+const flapRate = 200e3
+
+// flapScenario is the standard DIMM flap on topo at flapRate.
+func flapScenario(seed uint64, topo string) Scenario {
+	return Scenario{Seed: seed, Topo: topo, Rate: flapRate, Flap: true}
 }
 
 // String renders the sweep the way the paper presents latency curves:
@@ -354,169 +214,6 @@ func (r *ServeCurveResult) String() string {
 	return b.String()
 }
 
-// ServeFaultsResult is the DIMM-flap serving run: one shard's DIMM goes
-// offline mid-measurement and the summary attributes the damage.
-type ServeFaultsResult struct {
-	Seed       uint64
-	Batched    bool
-	Admitted   bool
-	Repl       bool
-	Mcnt       bool
-	Ops        bool
-	FlapDimm   string
-	FlapStart  sim.Time
-	FlapEnd    sim.Time
-	Result     *serve.Result
-	Degraded   []int
-	FlapShards []string
-	// Diverged counts primary/backup key disagreements remaining after the
-	// post-run drain and final anti-entropy sweep; a replicated run must
-	// end at 0 (every surviving write landed on both replicas).
-	Diverged int
-	// McntDrift is the mcnt fabric's credit/window accounting audit after
-	// the post-run quiesce (empty = zero drift: every frame the flap ate
-	// was resent, every grant reconverged); McntFabric is the fabric's
-	// traffic summary. Both are empty when the run used TCP.
-	McntDrift  []string
-	McntFabric string
-}
-
-// ServeFaults runs the mcn5 serving topology with one DIMM flapping
-// offline during the measured window. The run always terminates (the
-// kernel is driven to a fixed deadline); the flapped shard shows up as
-// degraded — errors, unfinished requests, or a collapsed tail — while the
-// other shards keep serving.
-func ServeFaults(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, false, admit.Config{}, replica.Config{}, false)
-}
-
-// ServeFaultsBatched is ServeFaults with request batching on the shard
-// connections — the determinism and degradation story must hold with the
-// coalescing window in the path.
-func ServeFaultsBatched(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, admit.Config{}, replica.Config{}, false)
-}
-
-// ServeFaultsAdmitted is ServeFaultsBatched with the admission-control
-// plane between the drivers and the router: the flapped shard's breaker
-// opens, traffic re-routes to the next vnode owners, and the breaker
-// event trace replays byte-identically from the seed.
-func ServeFaultsAdmitted(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, DefaultServeAdmit, replica.Config{}, false)
-}
-
-// ServeFaultsRepl is ServeFaultsAdmitted with the replication plane on:
-// the flapped shard's keys keep serving from the backup replica, every
-// 8th SET is synchronous, and after the run the primaries and backups are
-// driven to convergence and diffed (Diverged must be 0).
-func ServeFaultsRepl(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, DefaultServeAdmit, DefaultServeRepl, false)
-}
-
-// ServeFaultsMcnt is ServeFaultsBatched with the shard connections on
-// the mcnt transport: the flap eats mcnt frames instead of TCP
-// segments, recovery rides the go-back-N resend window instead of the
-// RTO, and after the run quiesces the fabric's credit accounting must
-// show zero drift (McntDrift empty).
-func ServeFaultsMcnt(seed uint64) *ServeFaultsResult {
-	return serveFaults(seed, true, admit.Config{}, replica.Config{}, true)
-}
-
-func serveFaults(seed uint64, batched bool, admitCfg admit.Config, replCfg replica.Config, useMcnt bool) *ServeFaultsResult {
-	const flapDimm = "host/mcn3"
-	cfg := serveConfig(seed, 200e3)
-	// Give the drain room for the RTO-driven recovery after the flap.
-	cfg.Drain = 20 * sim.Millisecond
-	if batched {
-		cfg.Batch = DefaultServeBatch
-	}
-	cfg.Admit = admitCfg
-	cfg.Repl = replCfg
-	if replCfg.Enabled() {
-		cfg.Workload.SyncEvery = 8
-	}
-
-	k := sim.NewKernel()
-	shards, clients, inject, _, fab := buildServeTopo(k, "mcn5", useMcnt)
-	cfg.Shards, cfg.Clients = shards, clients
-	// The measured window starts after Warmup; flap 1ms into it for 2ms.
-	measStart := k.Now().Add(cfg.Warmup)
-	flapStart := measStart.Add(sim.Millisecond)
-	flapEnd := flapStart.Add(2 * sim.Millisecond)
-	inject(faults.New(k, faults.Plan{
-		Seed:      seed,
-		DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: flapStart, End: flapEnd}},
-	}))
-	r := serve.Run(k, cfg)
-
-	out := &ServeFaultsResult{
-		Seed: seed, Batched: batched, Admitted: admitCfg.Enabled(), Repl: replCfg.Enabled(),
-		Mcnt:     useMcnt,
-		FlapDimm: flapDimm, FlapStart: flapStart, FlapEnd: flapEnd,
-		Result: r, Degraded: r.Degraded(),
-	}
-	if fab != nil {
-		// Let in-flight frames and the resend window settle (several
-		// ResendTimeout rounds past the drain), then audit: every byte
-		// the flap ate must have been recovered and every credit grant
-		// reconverged — zero accounting drift.
-		k.RunUntil(k.Now().Add(5 * sim.Millisecond))
-		out.McntDrift = fab.CheckAccounting()
-		out.McntFabric = fab.String()
-	}
-	if r.Repl != nil {
-		// Convergence check: let the async forward windows drain, then run
-		// one final anti-entropy sweep over every pair, then diff. Writes
-		// cut off by the run deadline mid-forward are exactly what the
-		// sweep repairs.
-		k.RunUntil(k.Now().Add(2 * sim.Millisecond))
-		k.Go("exp/final-sweep", func(p *sim.Proc) { r.Repl.FinalSweep(p) })
-		k.RunUntil(k.Now().Add(5 * sim.Millisecond))
-		for i := range shards {
-			out.Diverged += replica.Diverged(shards[i].Server, shards[i].Backup)
-		}
-	}
-	k.Shutdown()
-	for _, s := range out.Degraded {
-		out.FlapShards = append(out.FlapShards, r.PerShard[s].Name)
-	}
-	return out
-}
-
-// String renders the faulted run.
-func (r *ServeFaultsResult) String() string {
-	var b strings.Builder
-	mode := ""
-	if r.Batched {
-		mode = ", batched"
-	}
-	if r.Admitted {
-		mode += ", admitted"
-	}
-	if r.Repl {
-		mode += ", replicated"
-	}
-	if r.Mcnt {
-		mode += ", mcnt"
-	}
-	if r.Ops {
-		mode += ", ops"
-	}
-	fmt.Fprintf(&b, "serving under a DIMM flap: %s offline [%v, %v) (seed %d%s)\n",
-		r.FlapDimm, r.FlapStart, r.FlapEnd, r.Seed, mode)
-	b.WriteString(r.Result.String())
-	if r.Repl {
-		fmt.Fprintf(&b, "post-run convergence: %d diverged keys\n", r.Diverged)
-	}
-	if r.Mcnt {
-		fmt.Fprintf(&b, "%s | drift=%d\n", r.McntFabric, len(r.McntDrift))
-		for _, d := range r.McntDrift {
-			fmt.Fprintf(&b, "  drift: %s\n", d)
-		}
-	}
-	return b.String()
-}
-
 // ServeReplResult is the replication A/B under a DIMM flap: identical
 // topology, seed, flap window and offered load on mcn5+batch with
 // admission control (re-route), run with replication off and on. Without
@@ -527,8 +224,8 @@ func (r *ServeFaultsResult) String() string {
 // primary catches up before readmission.
 type ServeReplResult struct {
 	Seed uint64
-	Off  *ServeFaultsResult
-	On   *ServeFaultsResult
+	Off  *Outcome
+	On   *Outcome
 }
 
 // ServeRepl runs the DIMM-flap serving experiment with replication off
@@ -537,8 +234,8 @@ type ServeReplResult struct {
 func ServeRepl(seed uint64) *ServeReplResult {
 	return &ServeReplResult{
 		Seed: seed,
-		Off:  serveFaults(seed, true, DefaultServeAdmit, replica.Config{}, false),
-		On:   serveFaults(seed, true, DefaultServeAdmit, DefaultServeRepl, false),
+		Off:  Run(flapScenario(seed, "mcn5+batch+admit")),
+		On:   Run(flapScenario(seed, "mcn5+batch+repl")),
 	}
 }
 
@@ -549,7 +246,7 @@ func (r *ServeReplResult) String() string {
 		r.Off.FlapDimm, r.Off.FlapStart, r.Off.FlapEnd, r.Seed)
 	for _, v := range []struct {
 		name string
-		res  *ServeFaultsResult
+		res  *Outcome
 	}{{"repl=off", r.Off}, {"repl=on", r.On}} {
 		fmt.Fprintf(&b, "--- %s ---\n%s", v.name, v.res.Result)
 	}
@@ -578,49 +275,36 @@ type ServeAdmitResult struct {
 	Shed      *serve.Result
 }
 
-// serveAdmitConfig is the flap run the A/B sweeps share: the measured
-// window is long relative to the 2ms flap so the p99 verdict reflects
-// what admission can control (traffic after the first timeout edge)
-// rather than the handful of requests unavoidably trapped before it.
-func serveAdmitConfig(seed uint64) serve.Config {
-	cfg := serveConfig(seed, 200e3)
-	cfg.Measure = 15 * sim.Millisecond
-	cfg.Drain = 20 * sim.Millisecond
-	cfg.Batch = DefaultServeBatch
-	return cfg
+// admitScenarios is the flap A/B the admission and timeline figures
+// share, on the mcn5+batch fabric with the named suffix per arm ("" for
+// none). The measured window is long relative to the 2ms flap so the
+// p99 verdict reflects what admission can control (traffic after the
+// first timeout edge) rather than the handful of requests unavoidably
+// trapped before it.
+func admitScenarios(seed uint64, suffixes ...string) []Scenario {
+	var out []Scenario
+	for _, sfx := range suffixes {
+		s := flapScenario(seed, "mcn5+batch"+sfx)
+		s.Measure = 15 * sim.Millisecond
+		out = append(out, s)
+	}
+	return out
 }
 
 // ServeAdmit runs the DIMM-flap serving experiment three ways — admission
 // off, re-route, shed — on the mcn5+batch fabric. Every stream derives
 // from the seed, so each variant replays bit-identically.
 func ServeAdmit(seed uint64) *ServeAdmitResult {
-	const flapDimm = "host/mcn3"
-	out := &ServeAdmitResult{Seed: seed, FlapDimm: flapDimm}
-	variants := []struct {
-		res   **serve.Result
-		admit admit.Config
-	}{
-		{&out.Off, admit.Config{}},
-		{&out.Reroute, admit.Config{On: true, Policy: admit.Reroute}},
-		{&out.Shed, admit.Config{On: true, Policy: admit.Shed}},
+	sc := admitScenarios(seed, "", "+admit", "+admit")
+	sc[2].Mutate = func(c *serve.Config) { c.Admit.Policy = admit.Shed }
+	var runs []*Outcome
+	for _, s := range sc {
+		runs = append(runs, Run(s))
 	}
-	for _, v := range variants {
-		k := sim.NewKernel()
-		shards, clients, inject, _, _ := buildServeTopo(k, "mcn5", false)
-		cfg := serveAdmitConfig(seed)
-		cfg.Shards, cfg.Clients = shards, clients
-		cfg.Admit = v.admit
-		measStart := k.Now().Add(cfg.Warmup)
-		out.FlapStart = measStart.Add(sim.Millisecond)
-		out.FlapEnd = out.FlapStart.Add(2 * sim.Millisecond)
-		inject(faults.New(k, faults.Plan{
-			Seed:      seed,
-			DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: out.FlapStart, End: out.FlapEnd}},
-		}))
-		*v.res = serve.Run(k, cfg)
-		k.Shutdown()
+	return &ServeAdmitResult{
+		Seed: seed, FlapDimm: FlapDimm, FlapStart: runs[0].FlapStart, FlapEnd: runs[0].FlapEnd,
+		Off: runs[0].Result, Reroute: runs[1].Result, Shed: runs[2].Result,
 	}
-	return out
 }
 
 // P99Off, P99Reroute and P99Shed are the fault-window p99s (ns).
@@ -673,33 +357,10 @@ type ServeMcntResult struct {
 // variants replay bit-identically.
 func ServeMcnt(seed uint64, rates []float64) *ServeMcntResult {
 	res := &ServeMcntResult{Seed: seed, SLONs: DefaultServeSLONs, AttribRate: ServeAttribRate}
-	tcpRates, mcntRates := rates, rates
-	if rates == nil {
-		tcpRates, mcntRates = DefaultServeRates, McntServeRates
-	}
-	for _, v := range []struct {
-		topo  string
-		rates []float64
-		curve *ServeTopoCurve
-	}{
-		{"mcn5+batch", tcpRates, &res.TCP},
-		{"mcn5+batch+mcnt", mcntRates, &res.Mcnt},
-	} {
-		curve := ServeTopoCurve{Topo: v.topo}
-		for _, rate := range v.rates {
-			r := runServe(seed, v.topo, rate, nil, nil)
-			curve.Points = append(curve.Points, ServePoint{
-				OfferedQPS: rate,
-				Summary:    r.Summary(),
-				Errors:     r.Errors,
-				Unfinished: r.Unfinished,
-				Degraded:   r.Degraded(),
-			})
-		}
-		*v.curve = curve
-	}
-	tTCP := ServeTraced(seed, "mcn5+batch", ServeAttribRate, 0, 1)
-	tMcnt := ServeTraced(seed, "mcn5+batch+mcnt", ServeAttribRate, 0, 1)
+	res.TCP = sweep(seed, "mcn5+batch", serveRates("mcn5+batch", rates))
+	res.Mcnt = sweep(seed, "mcn5+batch+mcnt", serveRates("mcn5+batch+mcnt", rates))
+	tTCP := Run(Scenario{Seed: seed, Topo: "mcn5+batch", Rate: ServeAttribRate, Sample: 1})
+	tMcnt := Run(Scenario{Seed: seed, Topo: "mcn5+batch+mcnt", Rate: ServeAttribRate, Sample: 1})
 	res.AttribTCP = tTCP.Tracer.Attribution()
 	res.AttribMcnt = tMcnt.Tracer.Attribution()
 	res.Fabric = tMcnt.McntFabric
@@ -712,18 +373,7 @@ func (r *ServeMcntResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mcnt transport on memory-channel hops: mcn5+batch, TCP vs mcnt (seed %d, p99 SLO %.0fus)\n",
 		r.Seed, r.SLONs/1e3)
-	for _, c := range []ServeTopoCurve{r.TCP, r.Mcnt} {
-		fmt.Fprintf(&b, "%s\n", c.Topo)
-		fmt.Fprintf(&b, "%12s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "ok")
-		for _, p := range c.Points {
-			ok := "yes"
-			if !p.Healthy() {
-				ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
-			}
-			fmt.Fprintf(&b, "%12.0f %10.0f %10.1f %10.1f %7s\n",
-				p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, ok)
-		}
-	}
+	writeABCurves(&b, r.TCP, r.Mcnt)
 	off, on := r.TCP.QpsAtSLO(r.SLONs), r.Mcnt.QpsAtSLO(r.SLONs)
 	fmt.Fprintf(&b, "qps at p99<=%.0fus: tcp=%.0f mcnt=%.0f (%+.0f%%)\n",
 		r.SLONs/1e3, off, on, 100*(on-off)/off)
@@ -761,33 +411,15 @@ type ServeBatchResult struct {
 // the batching knee-mover figure. Same seed, same arrival streams — the
 // only difference between the two curves is the coalescing window.
 func ServeBatch(seed uint64, rates []float64) *ServeBatchResult {
-	if rates == nil {
-		rates = DefaultServeRates
-	}
+	rates = serveRates("mcn5", rates)
 	res := &ServeBatchResult{Seed: seed, SLONs: DefaultServeSLONs, LowLoadRate: rates[0]}
-	for _, topo := range []string{"mcn5", "mcn5+batch"} {
-		curve := ServeTopoCurve{Topo: topo}
-		var kneeMean, kneeMax float64
-		for _, rate := range rates {
-			r := runServe(seed, topo, rate, nil, nil)
-			curve.Points = append(curve.Points, ServePoint{
-				OfferedQPS: rate,
-				Summary:    r.Summary(),
-				Errors:     r.Errors,
-				Unfinished: r.Unfinished,
-				Degraded:   r.Degraded(),
-			})
-			if r.BatchSize.N() > 0 && r.Summary().P99 <= DefaultServeSLONs && r.Errors == 0 && r.Unfinished == 0 {
-				kneeMean, kneeMax = r.BatchSize.Mean(), float64(r.BatchSize.Max())
-			}
-		}
-		if topo == "mcn5" {
-			res.Unbatched = curve
-			res.LowLoadP99Off = curve.Points[0].Summary.P99
-		} else {
-			res.Batched = curve
-			res.LowLoadP99On = curve.Points[0].Summary.P99
-			res.BatchMeanAtKnee, res.BatchMaxAtKnee = kneeMean, kneeMax
+	res.Unbatched = sweep(seed, "mcn5", rates)
+	res.Batched = sweep(seed, "mcn5+batch", rates)
+	res.LowLoadP99Off = res.Unbatched.Points[0].Summary.P99
+	res.LowLoadP99On = res.Batched.Points[0].Summary.P99
+	for _, p := range res.Batched.Points {
+		if p.BatchMax > 0 && p.Healthy() && p.Summary.P99 <= DefaultServeSLONs {
+			res.BatchMeanAtKnee, res.BatchMaxAtKnee = p.BatchMean, p.BatchMax
 		}
 	}
 	return res
@@ -798,22 +430,28 @@ func (r *ServeBatchResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "request batching on shard connections: mcn5, batching off vs on (seed %d, p99 SLO %.0fus)\n",
 		r.Seed, r.SLONs/1e3)
-	for _, c := range []ServeTopoCurve{r.Unbatched, r.Batched} {
-		fmt.Fprintf(&b, "%s\n", c.Topo)
-		fmt.Fprintf(&b, "%12s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "ok")
-		for _, p := range c.Points {
-			ok := "yes"
-			if !p.Healthy() {
-				ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
-			}
-			fmt.Fprintf(&b, "%12.0f %10.0f %10.1f %10.1f %7s\n",
-				p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, ok)
-		}
-	}
+	writeABCurves(&b, r.Unbatched, r.Batched)
 	off, on := r.Unbatched.QpsAtSLO(r.SLONs), r.Batched.QpsAtSLO(r.SLONs)
 	fmt.Fprintf(&b, "qps at p99<=%.0fus: off=%.0f on=%.0f (%+.0f%%)\n",
 		r.SLONs/1e3, off, on, 100*(on-off)/off)
 	fmt.Fprintf(&b, "low-load p99 @ %.0f req/s: off=%.1fus on=%.1fus | batch at knee: mean=%.1f max=%.0f reqs\n",
 		r.LowLoadRate, r.LowLoadP99Off/1e3, r.LowLoadP99On/1e3, r.BatchMeanAtKnee, r.BatchMaxAtKnee)
 	return b.String()
+}
+
+// writeABCurves renders the two curves of an A/B figure: achieved qps,
+// p50 and p99 against offered load, one block per topology.
+func writeABCurves(b *strings.Builder, curves ...ServeTopoCurve) {
+	for _, c := range curves {
+		fmt.Fprintf(b, "%s\n", c.Topo)
+		fmt.Fprintf(b, "%12s %10s %10s %10s %7s\n", "offered/s", "qps", "p50us", "p99us", "ok")
+		for _, p := range c.Points {
+			ok := "yes"
+			if !p.Healthy() {
+				ok = fmt.Sprintf("e%d/u%d", p.Errors, p.Unfinished)
+			}
+			fmt.Fprintf(b, "%12.0f %10.0f %10.1f %10.1f %7s\n",
+				p.OfferedQPS, p.Summary.QPS, p.Summary.P50/1e3, p.Summary.P99/1e3, ok)
+		}
+	}
 }

@@ -4,22 +4,17 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mcn-arch/mcn/internal/admit"
-	"github.com/mcn-arch/mcn/internal/faults"
-	"github.com/mcn-arch/mcn/internal/obs"
-	"github.com/mcn-arch/mcn/internal/replica"
-	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
 // ServeTimelineVariant is one topology's flap run with the timeline on:
-// the ordinary telemetry, the finalized windowed timeline, and the
-// detection/burn/recovery headline derived from its first incident
-// (-1 marks "not observed": the monitor never fired, or never resolved).
+// the run (its telemetry, the finalized windowed timeline and the
+// post-run audit) and the detection/burn/recovery headline derived from
+// its first incident (-1 marks "not observed": the monitor never fired,
+// or never resolved).
 type ServeTimelineVariant struct {
-	Name     string
-	Result   *serve.Result
-	Timeline *obs.Timeline
+	Name string
+	*Outcome
 	// DetectNs is firing-alert edge minus fault injection; BurnNs is the
 	// firing episode's length; RecoverNs is resolve edge minus fault end.
 	DetectNs, BurnNs, RecoverNs float64
@@ -45,45 +40,14 @@ type ServeTimelineResult struct {
 // stream is exactly its untimed twin's; everything here replays
 // byte-identically from the seed.
 func ServeTimeline(seed uint64) *ServeTimelineResult {
-	const flapDimm = "host/mcn3"
-	out := &ServeTimelineResult{Seed: seed, FlapDimm: flapDimm}
-	variants := []struct {
-		name  string
-		admit admit.Config
-		repl  replica.Config
-	}{
-		{"off", admit.Config{}, replica.Config{}},
-		{"admit", DefaultServeAdmit, replica.Config{}},
-		{"repl", DefaultServeAdmit, DefaultServeRepl},
-	}
-	for _, v := range variants {
-		k := sim.NewKernel()
-		shards, clients, inject, _, _ := buildServeTopo(k, "mcn5", false)
-		cfg := serveAdmitConfig(seed)
-		cfg.Shards, cfg.Clients = shards, clients
-		cfg.Admit = v.admit
-		cfg.Repl = v.repl
-		if v.repl.Enabled() {
-			cfg.Workload.SyncEvery = 8
-		}
-		measStart := k.Now().Add(cfg.Warmup)
-		out.FlapStart = measStart.Add(sim.Millisecond)
-		out.FlapEnd = out.FlapStart.Add(2 * sim.Millisecond)
-		inject(faults.New(k, faults.Plan{
-			Seed:      seed,
-			DimmFlaps: []faults.DimmFlap{{Name: flapDimm, Start: out.FlapStart, End: out.FlapEnd}},
-		}))
-		tl := obs.NewTimeline(k.Now(), obs.TimelineConfig{SLONs: DefaultServeSLONs})
-		tl.AddFault(flapDimm, out.FlapStart, out.FlapEnd)
-		cfg.Timeline = tl
-		res := serve.Run(k, cfg)
-		k.Shutdown()
-		tl.Finalize()
-		tv := &ServeTimelineVariant{
-			Name: v.name, Result: res, Timeline: tl,
-			DetectNs: -1, BurnNs: -1, RecoverNs: -1,
-		}
-		if incs := tl.Incidents(); len(incs) > 0 {
+	out := &ServeTimelineResult{Seed: seed, FlapDimm: FlapDimm}
+	names := []string{"off", "admit", "repl"}
+	for i, s := range admitScenarios(seed, "", "+admit", "+repl") {
+		s.Timeline = true
+		o := Run(s)
+		out.FlapStart, out.FlapEnd = o.FlapStart, o.FlapEnd
+		tv := &ServeTimelineVariant{Name: names[i], Outcome: o, DetectNs: -1, BurnNs: -1, RecoverNs: -1}
+		if incs := o.Timeline.Incidents(); len(incs) > 0 {
 			tv.DetectNs = incs[0].DetectNs
 			tv.BurnNs = incs[0].BurnNs
 			tv.RecoverNs = incs[0].RecoverNs

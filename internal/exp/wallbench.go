@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/mcn-arch/mcn/internal/serve"
 	"github.com/mcn-arch/mcn/internal/sim"
 )
 
@@ -80,7 +79,7 @@ func wallCalibrate() float64 {
 // topologies stop at their knee, the mcnt transport sweeps to the rate
 // the ISSUE's 2x target is measured at.
 func WallBenchRates(topo string) []float64 {
-	if _, _, _, _, mcntOn, _ := parseServeTopo(topo); mcntOn {
+	if _, m := parseServeTopo(topo); m.Mcnt {
 		return []float64{200e3, 800e3, 2.4e6}
 	}
 	return []float64{200e3, 800e3, 1.4e6}
@@ -102,38 +101,14 @@ func WallBenchOnce(seed uint64, topo string, rate float64, reps int) WallBenchPo
 		reps = 1
 	}
 	run := func() (WallBenchPoint, time.Duration) {
-		fabric, batched, admitted, replicated, mcntOn, opsOn := parseServeTopo(topo)
-		k := sim.NewKernel()
-		shards, clients, _, _, _ := buildServeTopo(k, fabric, mcntOn)
-		cfg := serveConfig(seed, rate)
-		cfg.Shards, cfg.Clients = shards, clients
-		if batched {
-			cfg.Batch = DefaultServeBatch
-		}
-		if admitted {
-			cfg.Admit = DefaultServeAdmit
-		}
-		if replicated {
-			cfg.Repl = DefaultServeRepl
-			if !cfg.Admit.Enabled() {
-				cfg.Admit = DefaultServeAdmit
-			}
-		}
-		if opsOn {
-			cfg.Ops = DefaultServeOps
-		}
-		t0 := time.Now()
-		res := serve.Run(k, cfg)
-		wall := time.Since(t0)
-		st := k.Stats()
-		simSec := sim.Duration(k.Now()).Seconds()
-		k.Shutdown()
+		o := Run(Scenario{Seed: seed, Topo: topo, Rate: rate})
+		st := o.Kernel
 		return WallBenchPoint{
 			Topo:        topo,
 			RateRps:     rate,
-			SimSeconds:  simSec,
+			SimSeconds:  sim.Duration(o.SimEnd).Seconds(),
 			Events:      st.Pops,
-			Requests:    int(res.N),
+			Requests:    int(o.Result.N),
 			Pushes:      st.Pushes,
 			WheelPushes: st.WheelPushes,
 			ProcWakes:   st.ProcWakes,
@@ -142,7 +117,7 @@ func WallBenchOnce(seed uint64, topo string, rate float64, reps int) WallBenchPo
 			StaleWakes:  st.StaleWakes,
 			Spawns:      st.Spawns,
 			Shells:      st.Shells,
-		}, wall
+		}, o.Wall
 	}
 	run() // warm-up: page in code paths and steady-state the heap
 	pt, first := run()
@@ -184,6 +159,10 @@ func (r *WallBenchResult) String() string {
 	}
 	return b.String()
 }
+
+// WallTolerance is the drift gate's fractional allowance on the
+// spin-normalized event rate, the one hardware-dependent column.
+const WallTolerance = 0.15
 
 // WallBenchCheck is the drift gate: it re-runs one mid-ladder rate of
 // each topology in the stored artifact and compares against the stored

@@ -344,8 +344,6 @@ type (
 	ServeCurveResult = exp.ServeCurveResult
 	// ServeTopoCurve is one topology's slice of the sweep.
 	ServeTopoCurve = exp.ServeTopoCurve
-	// ServeFaultsResult is the serving run with a DIMM flap mid-window.
-	ServeFaultsResult = exp.ServeFaultsResult
 	// ServeBatchResult is the batching off/on A/B on the mcn5 fabric.
 	ServeBatchResult = exp.ServeBatchResult
 	// ServeAdmitResult is the admission-control off/reroute/shed A/B/B'
@@ -428,13 +426,21 @@ var ServeTopos = exp.ServeTopos
 // DefaultServeSLONs is the default p99 objective (ns) for qps-at-SLO.
 const DefaultServeSLONs = exp.DefaultServeSLONs
 
-// ServeOnce runs one point of the serving benchmark on the named topology
-// ("mcn0", "mcn5", "10gbe", "scaleup", or any of these with a "+batch"
-// suffix for request batching); closedWorkers > 0 switches to the
-// closed-loop driver and ignores rate.
-func ServeOnce(seed uint64, topo string, rate float64, closedWorkers int) *ServeResult {
-	return exp.ServeOnce(seed, topo, rate, closedWorkers)
-}
+// ServeScenario describes one serving run as a value: topology string
+// with its suffixes ("mcn0", "mcn5", "10gbe", "scaleup", each with any of
+// +batch, +admit, +repl, +mcnt, +ops), open-loop rate or closed-loop
+// workers, the standard DIMM flap, the measured window, the attached
+// observers (span tracer, metrics registry, timeline) and a last-word
+// config hook. ServeOutcome is its run: telemetry, flap window, observer
+// artifacts and the post-run audit.
+type (
+	ServeScenario = exp.Scenario
+	ServeOutcome  = exp.Outcome
+)
+
+// RunScenario executes one serving scenario. Same scenario, same seed:
+// bit-identical outcome; observers never perturb the simulation.
+func RunScenario(s ServeScenario) *ServeOutcome { return exp.Run(s) }
 
 // ServeCurve sweeps offered load across the serving topologies (mcn0,
 // mcn5, their batched variants, 10GbE scale-out, scale-up); nil rates
@@ -445,30 +451,10 @@ func ServeCurve(seed uint64, rates []float64) *ServeCurveResult { return exp.Ser
 // over the same rate ladder (nil = default): the knee-mover A/B.
 func ServeBatch(seed uint64, rates []float64) *ServeBatchResult { return exp.ServeBatch(seed, rates) }
 
-// ServeFaults runs the mcn5 serving topology with one DIMM flapping
-// offline during the measured window and reports the degraded shard.
-func ServeFaults(seed uint64) *ServeFaultsResult { return exp.ServeFaults(seed) }
-
-// ServeFaultsBatched is ServeFaults with request batching enabled on the
-// shard connections.
-func ServeFaultsBatched(seed uint64) *ServeFaultsResult { return exp.ServeFaultsBatched(seed) }
-
-// ServeFaultsAdmitted is ServeFaultsBatched with the admission-control
-// plane enabled: the flapped shard's breaker opens, traffic re-routes to
-// the next vnode owners, and the breaker event trace replays
-// byte-identically from the seed.
-func ServeFaultsAdmitted(seed uint64) *ServeFaultsResult { return exp.ServeFaultsAdmitted(seed) }
-
 // ServeAdmit runs the DIMM-flap serving experiment with admission off,
 // the re-route policy, and the shed policy on the mcn5+batch fabric; the
 // headline compares the fault-window p99s.
 func ServeAdmit(seed uint64) *ServeAdmitResult { return exp.ServeAdmit(seed) }
-
-// ServeFaultsRepl is ServeFaultsAdmitted with the replication plane on:
-// the flapped shard's keys keep serving from the backup replica, sync
-// writes stay durable, and the recovered primary catches up via the
-// versioned delta stream before its breaker readmits it.
-func ServeFaultsRepl(seed uint64) *ServeFaultsResult { return exp.ServeFaultsRepl(seed) }
 
 // ServeRepl runs the DIMM-flap serving experiment with replication off
 // and on; the headline compares flap-window misses, failover reads and
@@ -530,11 +516,6 @@ func ServeOps(seed uint64) *ServeOpsResult { return exp.ServeOps(seed) }
 // bench-smoke gate audits with ServeOpsResult.Check.
 func ServeOpsSmoke(seed uint64) *ServeOpsResult { return exp.ServeOpsSmoke(seed) }
 
-// ServeFaultsOps runs the operator workload under the standard DIMM flap;
-// the run, operator decisions included, replays byte-identically from
-// the seed.
-func ServeFaultsOps(seed uint64) *ServeFaultsResult { return exp.ServeFaultsOps(seed) }
-
 // WallBenchPoint is one wall-clock measurement of the simulator itself;
 // WallBenchResult is the BENCH_wallclock.json artifact shape.
 type (
@@ -548,12 +529,16 @@ type (
 // the derived rates vary with hardware. reps is best-of-N per point.
 func WallBench(seed uint64, reps int) *WallBenchResult { return exp.WallBench(seed, reps) }
 
-// WallBenchCheck re-runs the cheapest point per topology from a stored
+// WallBenchCheck re-runs the mid-ladder point per topology from a stored
 // BENCH_wallclock.json and reports drift: deterministic kernel counters
-// must match exactly, events/sec must be within tol of the artifact.
+// must match exactly, events/sec must be within tol (WallTolerance for
+// the committed artifact) of the artifact.
 func WallBenchCheck(stored *WallBenchResult, tol float64) []string {
 	return exp.WallBenchCheck(stored, tol)
 }
+
+// WallTolerance is the wall-clock gate's fractional events/sec allowance.
+const WallTolerance = exp.WallTolerance
 
 // mcnt: the MCN-native reliable transport — credit-based sliding-window
 // flow control with go-back-N resend over the SRAM rings, replacing TCP
@@ -584,11 +569,6 @@ func AttachMcnt(k *Kernel, h *Host, pr McntParams) *McntFabric { return mcnt.Att
 // attribution showing where the TCP stack time went.
 func ServeMcnt(seed uint64, rates []float64) *ServeMcntResult { return exp.ServeMcnt(seed, rates) }
 
-// ServeFaultsMcnt is ServeFaultsBatched on the mcnt transport: the flap
-// eats mcnt frames, go-back-N recovers them, and the fabric's credit
-// accounting must audit to zero drift after the run.
-func ServeFaultsMcnt(seed uint64) *ServeFaultsResult { return exp.ServeFaultsMcnt(seed) }
-
 // Observability: end-to-end request spans, the unified metrics registry
 // and the Perfetto/Chrome trace export (internal/obs).
 type (
@@ -606,9 +586,6 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// PhaseAttrib is one row of the per-phase latency attribution.
 	PhaseAttrib = obs.Attrib
-	// ServeTraceResult is one traced serving run: telemetry + tracer +
-	// metrics snapshot.
-	ServeTraceResult = exp.ServeTraceResult
 	// ServeAttribResult is the per-phase latency-attribution table
 	// across the serving configuration ladder.
 	ServeAttribResult = exp.ServeAttribResult
@@ -657,19 +634,6 @@ func NewSpanTracer(seed uint64, sampleN, maxSpans int) *SpanTracer {
 
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *Registry { return obs.NewRegistry() }
-
-// ServeTraced runs one serving point with the observability plane on:
-// spans cover every phase from client enqueue to response, and the
-// simulated event stream is identical to the untraced ServeOnce run.
-func ServeTraced(seed uint64, topo string, rate float64, closedWorkers, sampleN int) *ServeTraceResult {
-	return exp.ServeTraced(seed, topo, rate, closedWorkers, sampleN)
-}
-
-// ServeTracedFaults is ServeTraced under the standard DIMM-flap plan;
-// its trace artifacts replay byte-identically from the seed.
-func ServeTracedFaults(seed uint64, topo string, rate float64, sampleN int) *ServeTraceResult {
-	return exp.ServeTracedFaults(seed, topo, rate, sampleN)
-}
 
 // ServeAttrib traces every request on each configuration of the serving
 // ladder (mcn0, mcn5, +batch, +batch+admit, +batch+mcnt) and reduces

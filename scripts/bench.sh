@@ -25,5 +25,5 @@ WALLOUT="BENCH_wallclock.json"
 echo ">> mcn-serve -wallbench -seed $SEED -out $WALLOUT"
 go run ./cmd/mcn-serve -wallbench -seed "$SEED" -out "$WALLOUT"
 
-echo ">> $WALLOUT"
-go run ./cmd/mcn-serve -wallcheck "$WALLOUT"
+echo ">> mcn-serve -check $WALLOUT -seed $SEED"
+go run ./cmd/mcn-serve -check "$WALLOUT" -seed "$SEED"
